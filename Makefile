@@ -3,19 +3,20 @@ GO ?= go
 # Concurrency-sensitive packages: the bench Runner worker pool, the
 # gateway (TEE pools, circuit breakers, load balancer, forwarding),
 # the front tier (admission queues, shard breakers, async completion
-# goroutines), the retrying HTTP client, the fault plane, the sharded
+# goroutines), the shared front door (both carriers on one listener,
+# route counters), the retrying HTTP client, the fault plane, the sharded
 # metrics registry, the warm guest pool's refill goroutine, the
 # live-migration engine's chunk-resume path, and the SLO engine
 # (evaluated from federation sweeps while handlers read its status).
-RACE_PKGS = ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
+RACE_PKGS = ./internal/bench/... ./internal/gateway/... ./internal/fronttier/... ./internal/door/... ./internal/api/... ./internal/obs/... ./internal/faultplane/... ./internal/hostagent/... ./internal/wire/... ./internal/wal/... ./internal/migrate/... ./internal/slo/...
 
 # Packages held to the coverage floor: the statistics toolkit every
 # reported number flows through, the gateway dispatch path, the
-# sharded front tier, the warm-pool/snapshot-cache subsystem, the
+# sharded front tier, the shared front door, the warm-pool/snapshot-cache subsystem, the
 # telemetry plane, the persistence plane's log, the live-migration
 # engine, and the SLO engine.
 COVER_FLOOR ?= 70
-COVER_PKGS = ./internal/stats ./internal/gateway ./internal/fronttier ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
+COVER_PKGS = ./internal/stats ./internal/gateway ./internal/fronttier ./internal/door ./internal/hostagent ./internal/vm ./internal/obs ./internal/wire ./internal/wal ./internal/migrate ./internal/slo
 
 # The relay benchmark suite behind the committed perf trajectory
 # (BENCH_relay.json). Iterations are pinned so baseline and gate runs
@@ -23,7 +24,7 @@ COVER_PKGS = ./internal/stats ./internal/gateway ./internal/fronttier ./internal
 # benchgate keeps the best sample per metric, absorbing machine noise.
 BENCH_TIME ?= 2000x
 BENCH_COUNT ?= 3
-BENCH_RUN = $(GO) test -run xxx -bench 'BenchmarkWireTransportInvoke|BenchmarkCodec|BenchmarkTransportRoundTrip' \
+BENCH_RUN = $(GO) test -timeout 10m -run xxx -bench 'BenchmarkWireTransportInvoke|BenchmarkCodec|BenchmarkTransportRoundTrip' \
 	-benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) . ./internal/wire
 
 .PHONY: build test vet race cover cover-floor fuzz-smoke bench bench-gate obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke lint-metrics verify
@@ -31,25 +32,27 @@ BENCH_RUN = $(GO) test -run xxx -bench 'BenchmarkWireTransportInvoke|BenchmarkCo
 build:
 	$(GO) build ./...
 
+# Every go test below carries an explicit -timeout, so a hung test
+# fails its target in minutes instead of stalling until the default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -timeout 10m $(RACE_PKGS)
 
 # Per-package coverage report over the whole module.
 cover:
-	$(GO) test -cover ./...
+	$(GO) test -timeout 5m -cover ./...
 
 # Enforce the coverage floor on the load-bearing packages. Each
 # package is checked individually so one over-covered package cannot
 # mask an under-covered one.
 cover-floor:
 	@for pkg in $(COVER_PKGS); do \
-		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
+		pct=$$($(GO) test -timeout 5m -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "FAIL $$pkg: no coverage output"; exit 1; fi; \
 		ok=$$(awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }'); \
 		if [ "$$ok" != "1" ]; then echo "FAIL $$pkg: coverage $$pct% below floor $(COVER_FLOOR)%"; exit 1; fi; \
@@ -60,12 +63,12 @@ cover-floor:
 # in testdata/fuzz. Go permits one -fuzz pattern per invocation, hence
 # one run per target.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz 'FuzzParseSpec$$' -fuzztime 5s ./internal/faultplane
-	$(GO) test -run xxx -fuzz 'FuzzParseSpecs$$' -fuzztime 5s ./internal/faultplane
-	$(GO) test -run xxx -fuzz 'FuzzWireDecode$$' -fuzztime 5s ./internal/api
-	$(GO) test -run xxx -fuzz 'FuzzWireFrame$$' -fuzztime 5s ./internal/wire
-	$(GO) test -run xxx -fuzz 'FuzzRecovery$$' -fuzztime 5s ./internal/wal
-	$(GO) test -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate
+	$(GO) test -timeout 2m -run xxx -fuzz 'FuzzParseSpec$$' -fuzztime 5s ./internal/faultplane
+	$(GO) test -timeout 2m -run xxx -fuzz 'FuzzParseSpecs$$' -fuzztime 5s ./internal/faultplane
+	$(GO) test -timeout 2m -run xxx -fuzz 'FuzzWireDecode$$' -fuzztime 5s ./internal/api
+	$(GO) test -timeout 2m -run xxx -fuzz 'FuzzWireFrame$$' -fuzztime 5s ./internal/wire
+	$(GO) test -timeout 2m -run xxx -fuzz 'FuzzRecovery$$' -fuzztime 5s ./internal/wal
+	$(GO) test -timeout 2m -run xxx -fuzz 'FuzzMigrationStream$$' -fuzztime 5s ./internal/migrate
 
 # Refresh the committed relay perf trajectory. Refuses to write a
 # baseline where binary is not >= 2x httpjson invokes/s at <= 25% of
@@ -83,7 +86,7 @@ bench-gate:
 # invocations, and assert the /v1/obs plane (route counters, pool
 # checkouts, TEE transition counters) reports consistent values.
 obs-smoke:
-	$(GO) test -run TestObsSmoke -count=1 .
+	$(GO) test -timeout 5m -run TestObsSmoke -count=1 .
 
 # End-to-end chaos check: with one of two hosts in a pool
 # hard-erroring via the fault plane, a 100-invoke run must finish with
@@ -92,13 +95,13 @@ obs-smoke:
 # injected-fault sequence. Runs under the race detector — the
 # breaker/retry path is the most concurrent code in the gateway.
 chaos-smoke:
-	$(GO) test -race -run TestChaosSmoke -count=1 .
+	$(GO) test -race -timeout 10m -run TestChaosSmoke -count=1 .
 
 # End-to-end telemetry check: federation over multiple hosts, the
 # pinned windowed invoke rate, and the flight-recorder postmortem on
 # an exhausted-retry invoke.
 telemetry-smoke:
-	$(GO) test -run TestTelemetry -count=1 .
+	$(GO) test -timeout 5m -run TestTelemetry -count=1 .
 
 # End-to-end front-tier check: a seeded two-shard deployment absorbs
 # one shard being killed mid-bench with zero client-visible failures,
@@ -107,14 +110,14 @@ telemetry-smoke:
 # snapshot. Runs under the race detector — the tier's admission
 # queues, shard breakers, and async completions are concurrent.
 fronttier-smoke:
-	$(GO) test -race -run TestFrontTierSmoke -count=1 .
+	$(GO) test -race -timeout 10m -run TestFrontTierSmoke -count=1 .
 
 # End-to-end durability check: committed minidb batches survive a
 # crash that tears the log tail, and a cluster rebooted on the same
 # durable dir serves restart-spanning windowed rates and replayed
 # flight-recorder events.
 durability-smoke:
-	$(GO) test -run TestDurabilitySmoke -count=1 .
+	$(GO) test -timeout 5m -run TestDurabilitySmoke -count=1 .
 
 # End-to-end live-migration check: a seeded two-host SEV deployment
 # drains one host mid-bench under 1% migrate.stream chaos with zero
@@ -123,7 +126,7 @@ durability-smoke:
 # is bit-identical across same-seed runs. Runs under the race detector
 # — the drain path quiesces pools while invokes are in flight.
 migration-smoke:
-	$(GO) test -race -run TestMigrationSmoke -count=1 .
+	$(GO) test -race -timeout 10m -run TestMigrationSmoke -count=1 .
 
 # End-to-end SLO check: a seeded sharded deployment under chaos drives
 # one availability objective through the full warn → firing → resolved
@@ -131,14 +134,14 @@ migration-smoke:
 # runs, and a durable single-gateway deployment proves the timeline
 # survives a restart through the telemetry spill.
 slo-smoke:
-	$(GO) test -run TestSLOSmoke -count=1 .
+	$(GO) test -timeout 5m -run TestSLOSmoke -count=1 .
 
 # Static metric-naming lint: every literal metric family registered in
 # the tree must start with confbench_, counters must end in _total,
 # histograms must end in a unit suffix (_seconds/_ms/_bytes/_size),
 # and gauges must not end in _total.
 lint-metrics:
-	$(GO) test -run TestLintMetricNames -count=1 ./internal/obs
+	$(GO) test -timeout 5m -run TestLintMetricNames -count=1 ./internal/obs
 
 # Full pre-merge check: compile, vet, unit tests, the race detector
 # over the concurrency-sensitive packages, the coverage floor, the

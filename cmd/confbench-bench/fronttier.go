@@ -65,7 +65,7 @@ func fronttierReport(ctx context.Context, seed int64, shards, invokes int, tenan
 		if async {
 			sub, err := client.InvokeAsync(ctx, req)
 			if err == nil {
-				resp, err = client.AwaitResult(ctx, sub.ID, 0)
+				resp, err = client.AwaitResult(ctx, sub.ID)
 			}
 			if err != nil {
 				failed++

@@ -161,7 +161,7 @@ func cmdInvoke(ctx context.Context, client *api.Client, args []string) error {
 			return serr
 		}
 		fmt.Printf("submitted:  %s (%s)\n", sub.ID, sub.Status)
-		resp, err = client.AwaitResult(ctx, sub.ID, 0)
+		resp, err = client.AwaitResult(ctx, sub.ID)
 	} else {
 		resp, err = client.Invoke(ctx, req)
 	}

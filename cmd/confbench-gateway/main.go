@@ -125,11 +125,16 @@ func run(args []string) error {
 		if *shards > 1 {
 			clusterDurable = *durableDir
 		}
-		cluster, err := confbench.NewCluster(confbench.ClusterConfig{
-			Seed: *seed, GuestMemoryMB: 16, LeastLoaded: *policy == "least-loaded",
-			Shards: *shards, Transport: *transport, DurableDir: clusterDurable,
-			HostsPerTEE: *hostsPerTEE, WarmPool: *warmPool,
-		})
+		opts := []confbench.Option{
+			confbench.WithSeed(*seed), confbench.WithGuestMemoryMB(16),
+			confbench.WithShards(*shards), confbench.WithTransport(*transport),
+			confbench.WithDurableDir(clusterDurable), confbench.WithHostsPerTEE(*hostsPerTEE),
+			confbench.WithWarmPool(*warmPool),
+		}
+		if *policy == "least-loaded" {
+			opts = append(opts, confbench.WithLeastLoaded())
+		}
+		cluster, err := confbench.New(opts...)
 		if err != nil {
 			return err
 		}

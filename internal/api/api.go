@@ -27,10 +27,8 @@ import (
 	"confbench/internal/tee"
 )
 
-// Paths served by the gateway, relative to a version prefix. The
-// gateway serves every path under APIPrefixV1 and, for compatibility
-// with pre-versioning clients, under the bare path as an alias to the
-// same handler.
+// Paths served by the front door (gateway or front tier), relative to
+// APIPrefixV1: every route is served only under the version prefix.
 const (
 	PathFunctions = "/functions"
 	PathInvoke    = "/invoke"
@@ -63,8 +61,7 @@ const (
 // APIPrefixV1 is the versioned mount point of the REST surface.
 const APIPrefixV1 = "/v1"
 
-// Versioned paths — the canonical routes new clients use. The
-// unversioned constants above remain valid aliases.
+// Versioned paths — the full routes the front door serves.
 const (
 	PathV1Functions   = APIPrefixV1 + PathFunctions
 	PathV1Invoke      = APIPrefixV1 + PathInvoke
@@ -81,32 +78,18 @@ const (
 	PathV1ObsAlerts   = APIPrefixV1 + PathObsAlerts
 )
 
-// Paths served by guest agents inside VMs.
-//
-// Deprecated: these are the pre-versioning spellings, kept as
-// byte-identical aliases of the GuestV1 routes below. New callers use
-// the GuestV1 constants.
-const (
-	GuestPathInvoke = "/guest/invoke"
-	GuestPathAttest = "/guest/attest"
-	GuestPathHealth = "/guest/health"
-	// GuestPathObs serves the host process's metrics registry — the
-	// gateway's federation scraper pulls it over the relay hop.
-	GuestPathObs = "/guest/obs"
-)
-
-// GuestPrefixV1 is the versioned mount point of the guest surface,
-// mirroring the gateway's /v1 redesign.
+// GuestPrefixV1 is the versioned mount point of the surface guest
+// agents serve inside VMs.
 const GuestPrefixV1 = "/guest/v1"
 
-// Versioned guest paths — the canonical routes the gateway dispatches
-// to. Guest servers also serve the unversioned spellings above as
-// aliases to the same handlers.
+// Guest paths — the routes the gateway dispatches to.
 const (
 	GuestV1Invoke = GuestPrefixV1 + "/invoke"
 	GuestV1Attest = GuestPrefixV1 + "/attest"
 	GuestV1Health = GuestPrefixV1 + "/health"
-	GuestV1Obs    = GuestPrefixV1 + "/obs"
+	// GuestV1Obs serves the host process's metrics registry — the
+	// gateway's federation scraper pulls it over the relay hop.
+	GuestV1Obs = GuestPrefixV1 + "/obs"
 )
 
 // UploadRequest registers a function with the gateway.
@@ -214,7 +197,7 @@ type AttestResponse struct {
 	AttestNs int64 `json:"attest_ns"`
 }
 
-// Metrics is the gateway's request accounting for GET /metrics.
+// Metrics is the gateway's request accounting for GET /v1/metrics.
 type Metrics struct {
 	// UptimeSeconds since the gateway started serving.
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -228,7 +211,7 @@ type Metrics struct {
 	PerPool map[string]uint64 `json:"per_pool"`
 }
 
-// PoolInfo describes one TEE pool for GET /pools. When some hosts
+// PoolInfo describes one TEE pool for GET /v1/pools. When some hosts
 // are down the gateway still answers with the full member list and
 // per-endpoint breaker states — partial status, not a 500.
 type PoolInfo struct {
@@ -242,7 +225,7 @@ type PoolInfo struct {
 	Members []EndpointHealth `json:"members,omitempty"`
 }
 
-// EndpointHealth is one pool member's health for GET /pools.
+// EndpointHealth is one pool member's health for GET /v1/pools.
 type EndpointHealth struct {
 	Host   string `json:"host"`
 	VM     string `json:"vm"`
@@ -278,7 +261,7 @@ type MigrationSummary struct {
 	TransferredBytes int64 `json:"transferred_bytes"`
 }
 
-// DrainReport is the POST /drain response.
+// DrainReport is the POST /v1/drain response.
 type DrainReport struct {
 	// Host is the drained host.
 	Host string `json:"host"`
@@ -372,11 +355,6 @@ const (
 	// backoffJitter is the ± fraction applied to each sleep so a burst
 	// of failed clients doesn't retry in lockstep.
 	backoffJitter = 0.20
-	// DefaultPollInterval paces AwaitResult's polls of an async invoke.
-	//
-	// Deprecated: AwaitResult now long-polls server-side; the interval
-	// is one round trip's parked wait, defaulting to DefaultAwaitWait.
-	DefaultPollInterval = 25 * time.Millisecond
 	// DefaultAwaitWait is the per-round-trip wait AwaitResult asks the
 	// front tier to park a result poll for (the server clamps it).
 	DefaultAwaitWait = 2 * time.Second
@@ -388,7 +366,6 @@ const (
 type Client struct {
 	baseURL string
 	host    string
-	prefix  string
 	tenant  string
 	http    *http.Client
 
@@ -457,18 +434,11 @@ func WithTransport(t Transport) Option {
 	return func(c *Client) { c.transport = t }
 }
 
-// WithPathPrefix overrides the API version prefix the client puts in
-// front of every path. The default is APIPrefixV1; pass "" to talk to
-// a pre-versioning gateway through the unversioned aliases.
-func WithPathPrefix(prefix string) Option {
-	return func(c *Client) { c.prefix = prefix }
-}
-
 // New builds a client for the gateway at baseURL, configured by opts.
 // The URL must be absolute with an http or https scheme; the returned
 // client has an explicit per-attempt timeout so a wedged gateway
 // cannot hang callers that forget a context deadline. Requests go to
-// the versioned /v1 surface unless WithPathPrefix says otherwise.
+// the versioned /v1 surface.
 func New(baseURL string, opts ...Option) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -486,7 +456,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	c := &Client{
 		baseURL:      baseURL,
 		host:         u.Host,
-		prefix:       APIPrefixV1,
 		http:         &http.Client{Timeout: DefaultTimeout},
 		MaxAttempts:  DefaultMaxAttempts,
 		RetryBackoff: DefaultRetryBackoff,
@@ -495,13 +464,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		opt(c)
 	}
 	return c, nil
-}
-
-// NewClient builds a client with default settings.
-//
-// Deprecated: use New, which accepts functional options.
-func NewClient(baseURL string) (*Client, error) {
-	return New(baseURL)
 }
 
 // wirePayload maps one client call onto the binary transport's frame
@@ -564,7 +526,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var err error
 	for attempt := 1; ; attempt++ {
 		if overWire {
-			err = c.transport.RoundTrip(ctx, c.host, c.prefix+path, win, out)
+			err = c.transport.RoundTrip(ctx, c.host, APIPrefixV1+path, win, out)
 		} else {
 			err = c.attempt(ctx, method, path, body, out)
 		}
@@ -611,7 +573,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if body != nil {
 		reader = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+c.prefix+path, reader)
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+APIPrefixV1+path, reader)
 	if err != nil {
 		return cberr.Wrap(cberr.CodeInvalid, cberr.LayerClient,
 			fmt.Errorf("api: %s %s: %w", method, path, err))
@@ -758,17 +720,14 @@ func (c *Client) ResultWait(ctx context.Context, id string, wait time.Duration) 
 }
 
 // AwaitResult waits for an async invoke via server-side long-polls:
-// each round trip parks on the front tier for up to interval (0 =
-// DefaultAwaitWait) instead of sleeping client-side between polls, so
-// completion is seen one network round trip after it happens. A
-// completed-with-error invoke surfaces its reconstructed classified
-// error, exactly as the synchronous path would have.
-func (c *Client) AwaitResult(ctx context.Context, id string, interval time.Duration) (InvokeResponse, error) {
-	if interval <= 0 {
-		interval = DefaultAwaitWait
-	}
+// each round trip parks on the front tier for up to DefaultAwaitWait
+// instead of sleeping client-side between polls, so completion is seen
+// one network round trip after it happens. A completed-with-error
+// invoke surfaces its reconstructed classified error, exactly as the
+// synchronous path would have.
+func (c *Client) AwaitResult(ctx context.Context, id string) (InvokeResponse, error) {
 	for {
-		res, err := c.ResultWait(ctx, id, interval)
+		res, err := c.ResultWait(ctx, id, DefaultAwaitWait)
 		if err != nil {
 			return InvokeResponse{}, err
 		}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -279,7 +281,7 @@ func TestTierInFlightQuotaCountsAsync(t *testing.T) {
 		t.Fatal("second in-flight request admitted past MaxInFlight=1")
 	}
 	close(a.block)
-	if _, err := client.AwaitResult(ctx, sub.ID, time.Millisecond); err != nil {
+	if _, err := client.AwaitResult(ctx, sub.ID); err != nil {
 		t.Fatalf("await blocked async result: %v", err)
 	}
 	// Slot released on completion: the tenant is admitted again.
@@ -303,7 +305,7 @@ func TestTierAsyncLifecycle(t *testing.T) {
 	if !strings.HasPrefix(sub.ID, "async-") {
 		t.Fatalf("submit ID = %q, want async- prefix", sub.ID)
 	}
-	resp, err := client.AwaitResult(ctx, sub.ID, time.Millisecond)
+	resp, err := client.AwaitResult(ctx, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestTierAsyncLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.AwaitResult(ctx, sub.ID, time.Millisecond)
+	_, err = client.AwaitResult(ctx, sub.ID)
 	if err == nil {
 		t.Fatal("failed async invoke polled back success")
 	}
@@ -399,27 +401,40 @@ func TestTierQueueFullSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Fill the slot (parked in the shard) and the one queue seat.
+	// A failing test must still release the parked shard handlers, or
+	// the fake shard's Close waits on them forever.
+	unblock := sync.OnceFunc(func() { close(a.block) })
+	t.Cleanup(unblock)
+	// Fill the slot (parked in the shard), then the one queue seat. The
+	// second request goes only once the first holds the slot: sent
+	// together, it can find the first one's transient seat and shed.
+	sh := tier.shards["shard-a"]
 	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	for i := int64(0); i < 2; i++ {
 		go func() {
 			_, err := client.Invoke(ctx, api.InvokeRequest{Function: "slow"})
 			errs <- err
 		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for !(sh.load.Load() == 1 && sh.waiting.Load() == i) {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d: load=%d waiting=%d, want 1 and %d", i+1, sh.load.Load(), sh.waiting.Load(), i)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	// Wait until both are inside the tier (slot taken + queue seat).
-	deadline := time.Now().Add(2 * time.Second)
-	for tier.shards["shard-a"].waiting.Load() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	_, err = client.Invoke(ctx, api.InvokeRequest{Function: "slow"})
+	// The probe must shed at once; a deadline turns a wrongly admitted
+	// probe into a failure instead of a hang.
+	probeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	_, err = client.Invoke(probeCtx, api.InvokeRequest{Function: "slow"})
 	if err == nil {
 		t.Fatal("third request admitted past a full queue")
 	}
 	if cberr.CodeOf(err) != cberr.CodeUnavailable || cberr.RetryAfterOf(err) <= 0 {
 		t.Fatalf("queue shed = %v, want retryable unavailable with advice", err)
 	}
-	close(a.block)
+	unblock()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("parked invoke failed: %v", err)
@@ -427,6 +442,69 @@ func TestTierQueueFullSheds(t *testing.T) {
 	}
 	if tier.Obs().Snapshot().Counters[`confbench_fronttier_sheds_total{reason="queue_full"}`] == 0 {
 		t.Fatal("queue_full shed not counted")
+	}
+}
+
+// TestTierQueueBoundHoldsUnderConcurrency: with the shard's only slot
+// held, arrivals hammering its queue (each takes a seat, finds its
+// context canceled, and leaves) must never push the waiting count past
+// QueueDepth, however their seat claims interleave. A check-then-add
+// seat claim overshoots here within the run under the race detector
+// (which widens the window between the two atomics), and only rarely
+// without it.
+func TestTierQueueBoundHoldsUnderConcurrency(t *testing.T) {
+	const depth, hammers = 1, 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(hammers))
+	tier, err := New(Config{
+		Shards:           []ShardConfig{{Name: "s", URL: "http://127.0.0.1:1"}},
+		Obs:              obs.New(),
+		ShardConcurrency: 1,
+		QueueDepth:       depth,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := tier.shards["s"]
+	hold, err := tier.enqueue(context.Background(), sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < hammers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if release, err := tier.enqueue(canceled, sh); err == nil {
+					release()
+					t.Error("an arrival took the held slot")
+					return
+				}
+			}
+		}()
+	}
+	var peak int64
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end) && peak <= depth; {
+		for i := 0; i < 1000; i++ {
+			peak = max(peak, sh.waiting.Load())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if peak > depth {
+		t.Fatalf("waiting reached %d with queue depth %d", peak, depth)
+	}
+	if n := sh.waiting.Load(); n != 0 {
+		t.Fatalf("waiting = %d after every arrival left", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"testing"
 
@@ -11,68 +10,22 @@ import (
 	"confbench/internal/tee"
 )
 
-// getRaw fetches a path from the gateway and returns status and body.
-func getRaw(t *testing.T, url, path string) (int, string) {
-	t.Helper()
-	resp, err := http.Get(url + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(body)
-}
-
-func TestVersionedAliasesAreByteIdentical(t *testing.T) {
-	// Every /v1 route must alias its unversioned ancestor: same
-	// handler, same body. /metrics is excluded (uptime moves between
-	// scrapes); the deterministic surfaces must match byte for byte.
-	g, client := testDeployment(t, nil)
-	uploadFn(t, client, "fn", "go", "factors")
-	if _, err := client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}); err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]string{
-		{api.PathFunctions, api.PathV1Functions},
-		{api.PathPools, api.PathV1Pools},
-		{api.PathHealth, api.PathV1Health},
-		{api.PathObs, api.PathV1Obs},
-	} {
-		oldStatus, oldBody := getRaw(t, g.BaseURL(), pair[0])
-		newStatus, newBody := getRaw(t, g.BaseURL(), pair[1])
-		if oldStatus != http.StatusOK || newStatus != http.StatusOK {
-			t.Errorf("%s: status %d vs %d", pair[0], oldStatus, newStatus)
-		}
-		if oldBody != newBody {
-			t.Errorf("%s: bodies differ between prefixes:\nold: %s\nnew: %s", pair[0], oldBody, newBody)
-		}
-	}
-}
-
 func TestRouteCountersUseCanonicalV1Labels(t *testing.T) {
-	// Requests through either prefix land on the same counter, labeled
-	// with the canonical /v1 route.
+	// Typed-client and raw HTTP requests land on the same counter,
+	// labeled with the /v1 route.
 	g, client := testDeployment(t, nil)
 	uploadFn(t, client, "fn", "go", "factors")
 	req := api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}
-	// The typed client speaks /v1; send one more invoke via the legacy
-	// unversioned path.
 	if _, err := client.Invoke(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := postRaw(t, g.BaseURL(), api.PathInvoke, `{"function":"fn","secure":true,"tee":"tdx","scale":100}`); status != http.StatusOK {
-		t.Fatalf("legacy invoke status = %d", status)
+	if status, _ := postRaw(t, g.BaseURL(), api.PathV1Invoke, `{"function":"fn","secure":true,"tee":"tdx","scale":100}`); status != http.StatusOK {
+		t.Fatalf("raw invoke status = %d", status)
 	}
 	snap := g.Obs().Snapshot()
 	id := obs.MetricID("confbench_http_requests_total", "route", api.PathV1Invoke, "status", "200")
 	if got := snap.Counters[id]; got != 2 {
-		t.Errorf("%s = %d, want 2 (one per prefix)", id, got)
-	}
-	if _, stray := snap.Counters[obs.MetricID("confbench_http_requests_total", "route", api.PathInvoke, "status", "200")]; stray {
-		t.Error("unversioned route leaked its own counter label")
+		t.Errorf("%s = %d, want 2", id, got)
 	}
 }
 
@@ -182,22 +135,5 @@ func TestInvokeTraceSpansAcrossHop(t *testing.T) {
 	}
 	if plain.Trace != nil {
 		t.Error("untraced invoke carried a span tree")
-	}
-}
-
-func TestLegacyClientAgainstCurrentGateway(t *testing.T) {
-	// A client pinned to the unversioned surface (as pre-/v1 binaries
-	// were) must keep working against a current gateway.
-	g, _ := testDeployment(t, nil)
-	legacy, err := api.New(g.BaseURL(), api.WithPathPrefix(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Health(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	uploadFn(t, legacy, "fn", "go", "factors")
-	if _, err := legacy.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX, Scale: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

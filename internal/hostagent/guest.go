@@ -77,21 +77,14 @@ func NewGuestServer(cfg GuestServerConfig) (*GuestServer, error) {
 		errs:     r.Counter("confbench_hostagent_errors_total", "vm", machine.Name()),
 		latency:  r.Histogram("confbench_hostagent_request_seconds", "vm", machine.Name()),
 	}
-	// The guest surface is versioned under /guest/v1 with the
-	// pre-versioning spellings kept as byte-identical aliases — same
-	// handlers, both mounts.
+	// The guest surface is served only under /guest/v1.
 	mux := http.NewServeMux()
-	health := func(w http.ResponseWriter, _ *http.Request) {
-		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "vm": g.vm.Name()})
-	}
 	mux.HandleFunc(api.GuestV1Invoke, g.handleInvoke)
-	mux.HandleFunc(api.GuestPathInvoke, g.handleInvoke)
 	mux.HandleFunc(api.GuestV1Attest, g.handleAttest)
-	mux.HandleFunc(api.GuestPathAttest, g.handleAttest)
-	mux.HandleFunc(api.GuestV1Health, health)
-	mux.HandleFunc(api.GuestPathHealth, health)
+	mux.HandleFunc(api.GuestV1Health, func(w http.ResponseWriter, _ *http.Request) {
+		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "vm": g.vm.Name()})
+	})
 	mux.HandleFunc(api.GuestV1Obs, g.handleObs)
-	mux.HandleFunc(api.GuestPathObs, g.handleObs)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("hostagent: guest listen: %w", err)

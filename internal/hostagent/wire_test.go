@@ -127,7 +127,7 @@ func TestGuestWireRejectsUnknownFrame(t *testing.T) {
 func TestGuestObsEndpoint(t *testing.T) {
 	a := newAgent(t)
 	ep, _ := a.Endpoint(true)
-	base := "http://" + ep.Addr + api.GuestPathObs
+	base := "http://" + ep.Addr + api.GuestV1Obs
 	client := &http.Client{Timeout: 5 * time.Second}
 
 	resp, err := client.Get(base)
@@ -220,7 +220,7 @@ func TestWarmAgent(t *testing.T) {
 		Scale:    42,
 	}
 	var resp api.InvokeResponse
-	if code := postJSON(t, "http://"+secure.Addr+api.GuestPathInvoke, req, &resp); code != http.StatusOK {
+	if code := postJSON(t, "http://"+secure.Addr+api.GuestV1Invoke, req, &resp); code != http.StatusOK {
 		t.Fatalf("warm invoke status %d", code)
 	}
 	if resp.Output == "" || !resp.Secure {

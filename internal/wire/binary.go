@@ -236,29 +236,29 @@ func encodeRequest(path string, in any) (Type, []byte, error) {
 	}
 	buf := GetBuf(0)
 	switch path {
-	case api.GuestV1Invoke, api.GuestPathInvoke:
+	case api.GuestV1Invoke:
 		if req, ok := in.(*api.GuestInvokeRequest); ok {
 			return TInvokeReq, AppendGuestInvoke(buf, req), nil
 		}
-	case api.PathInvoke, api.PathV1Invoke:
+	case api.PathV1Invoke:
 		switch v := in.(type) {
 		case *api.TenantedInvoke:
 			return TFrontInvokeReq, AppendFrontInvoke(buf, v), nil
 		case *api.InvokeRequest:
 			return TFrontInvokeReq, AppendFrontInvoke(buf, &api.TenantedInvoke{Req: *v}), nil
 		}
-	case api.GuestV1Attest, api.GuestPathAttest, api.PathAttest, api.PathV1Attest:
+	case api.GuestV1Attest, api.PathV1Attest:
 		if req, ok := in.(*api.AttestRequest); ok {
 			return TAttestReq, AppendAttest(buf, "", req), nil
 		}
 		if ti, ok := in.(*api.TenantedAttest); ok {
 			return TAttestReq, AppendAttest(buf, ti.Tenant, &ti.Req), nil
 		}
-	case api.PathHealth, api.PathV1Health, api.GuestV1Health, api.GuestPathHealth:
+	case api.PathV1Health, api.GuestV1Health:
 		if in == nil {
 			return THealthReq, buf, nil
 		}
-	case api.GuestV1Obs, api.GuestPathObs, api.PathObs, api.PathV1Obs:
+	case api.GuestV1Obs, api.PathV1Obs:
 		if in == nil {
 			return TObsReq, buf, nil
 		}
