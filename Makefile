@@ -27,7 +27,7 @@ BENCH_COUNT ?= 3
 BENCH_RUN = $(GO) test -timeout 10m -run xxx -bench 'BenchmarkWireTransportInvoke|BenchmarkCodec|BenchmarkTransportRoundTrip' \
 	-benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) . ./internal/wire
 
-.PHONY: build test vet race cover cover-floor fuzz-smoke bench bench-gate obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke lint-metrics verify
+.PHONY: build test vet race wire-stress cover cover-floor fuzz-smoke bench bench-gate obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke lint-metrics verify
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,15 @@ vet:
 
 race:
 	$(GO) test -race -timeout 10m $(RACE_PKGS)
+
+# Stress pass over the connection plumbing: the wire carrier's
+# combining writer, reused handler goroutines and pending table, and
+# the host agent serving on them, repeated under the race detector so
+# rare interleavings get a chance to show.
+WIRE_STRESS_PKGS = ./internal/wire/... ./internal/hostagent/...
+
+wire-stress:
+	$(GO) test -race -count=20 -timeout 5m $(WIRE_STRESS_PKGS)
 
 # Per-package coverage report over the whole module.
 cover:
@@ -144,8 +153,8 @@ lint-metrics:
 	$(GO) test -timeout 5m -run TestLintMetricNames -count=1 ./internal/obs
 
 # Full pre-merge check: compile, vet, unit tests, the race detector
-# over the concurrency-sensitive packages, the coverage floor, the
-# metric-naming lint, the observability/chaos/telemetry/front-tier/
-# durability/migration/SLO smokes, and the committed relay perf
-# trajectory.
-verify: build vet test race cover-floor lint-metrics obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke bench-gate
+# over the concurrency-sensitive packages, the wire stress pass, the
+# coverage floor, the metric-naming lint, the observability/chaos/
+# telemetry/front-tier/durability/migration/SLO smokes, and the
+# committed relay perf trajectory.
+verify: build vet test race wire-stress cover-floor lint-metrics obs-smoke chaos-smoke telemetry-smoke fronttier-smoke durability-smoke migration-smoke slo-smoke bench-gate

@@ -627,7 +627,12 @@ func (g *Gateway) dispatch(ctx context.Context, pool *Pool, secure bool, path st
 		if attempt > 0 {
 			g.retries.Inc()
 		}
-		hopCtx, hop := obs.StartSpan(ctx, "gateway", "relay-hop "+entry.Endpoint.Addr)
+		// Build the span name only under an active trace: the
+		// concatenation escapes to the heap on every invoke otherwise.
+		hopCtx, hop := ctx, (*obs.Span)(nil)
+		if obs.FromContext(ctx) != nil {
+			hopCtx, hop = obs.StartSpan(ctx, "gateway", "relay-hop "+entry.Endpoint.Addr)
+		}
 		if attempt > 0 {
 			hop.SetAttr("retry", strconv.Itoa(attempt))
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -98,22 +99,24 @@ func (t *Binary) conn(addr string) (*mconn, error) {
 	return mc, nil
 }
 
-// inFrame is a matched response handed from the read loop to a waiter.
+// inFrame is one received frame: a matched response handed from the
+// read loop to a waiter, or a request handed to a handler worker.
 type inFrame struct {
-	t       Type
+	h       Header
 	payload []byte
 }
 
-// mconn is one multiplexed connection: a write loop batching outbound
-// frames, a read loop matching responses to waiters by correlation ID,
-// and a pending table. kill runs exactly once, closes dead, and every
-// waiter observes it.
+// mconn is one multiplexed connection: a combining writer that
+// callers write their own frames through, a buffered read loop
+// matching responses to waiters by correlation ID, and a pending
+// table. kill runs exactly once, closes dead, and every waiter
+// observes it.
 type mconn struct {
-	addr    string
-	conn    net.Conn
-	writeCh chan outFrame
-	dead    chan struct{}
-	m       *wireMetrics
+	addr string
+	conn net.Conn
+	w    *frameWriter
+	dead chan struct{}
+	m    *wireMetrics
 
 	mu      sync.Mutex
 	deadErr error
@@ -125,19 +128,19 @@ func newMconn(addr string, conn net.Conn, m *wireMetrics) *mconn {
 	mc := &mconn{
 		addr:    addr,
 		conn:    conn,
-		writeCh: make(chan outFrame, maxBatch),
+		w:       &frameWriter{conn: conn, m: m},
 		dead:    make(chan struct{}),
 		m:       m,
 		pending: make(map[uint64]chan inFrame),
 	}
-	go writeLoop(conn, mc.writeCh, mc.dead, m)
 	go mc.readLoop()
 	return mc
 }
 
 func (mc *mconn) readLoop() {
+	br := bufio.NewReaderSize(mc.conn, readBufSize)
 	for {
-		h, payload, err := ReadFrame(mc.conn)
+		h, payload, err := ReadFrame(br)
 		if err != nil {
 			mc.kill(fmt.Errorf("wire: %s: %w", mc.addr, err))
 			return
@@ -152,7 +155,7 @@ func (mc *mconn) readLoop() {
 			PutBuf(payload)
 			continue
 		}
-		ch <- inFrame{t: h.Type, payload: payload} // buffered; sole sender
+		ch <- inFrame{h: h, payload: payload} // buffered; sole sender
 	}
 }
 
@@ -188,8 +191,8 @@ func (mc *mconn) forget(corr uint64) {
 }
 
 // roundTrip sends one request frame and waits for its correlated
-// response. payload is pooled and ownership passes to the write loop;
-// the returned payload is pooled and owned by the caller.
+// response. payload is pooled and ownership passes to the writer; the
+// returned payload is pooled and owned by the caller.
 func (mc *mconn) roundTrip(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
 	mc.mu.Lock()
 	if mc.deadErr != nil {
@@ -203,21 +206,14 @@ func (mc *mconn) roundTrip(ctx context.Context, ft Type, payload []byte) (Type, 
 	mc.pending[corr] = respCh
 	mc.mu.Unlock()
 
-	select {
-	case mc.writeCh <- outFrame{t: ft, corr: corr, payload: payload}:
-	case <-mc.dead:
-		mc.forget(corr)
-		PutBuf(payload)
+	if err := mc.w.send(ft, corr, payload); err != nil {
+		mc.kill(fmt.Errorf("wire: %s: write: %w", mc.addr, err))
 		return 0, nil, mc.connErr()
-	case <-ctx.Done():
-		mc.forget(corr)
-		PutBuf(payload)
-		return 0, nil, cberr.From(fmt.Errorf("wire: %s: %w", mc.addr, ctx.Err()), cberr.LayerGateway)
 	}
 
 	select {
 	case in := <-respCh:
-		return in.t, in.payload, nil
+		return in.h.Type, in.payload, nil
 	case <-mc.dead:
 		mc.forget(corr)
 		return 0, nil, mc.connErr()

@@ -7,19 +7,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"confbench/internal/faultplane"
 	"confbench/internal/obs"
-)
-
-// Batching knobs. A write batch is bounded by count and by a
-// sub-millisecond linger timer; the linger only arms when the
-// non-blocking drain already found a second frame, so a serial caller
-// (one invoke in flight) never pays it.
-const (
-	maxBatch    = 16
-	batchLinger = 200 * time.Microsecond
 )
 
 // wireMetrics caches the per-connection-plane obs instruments so the
@@ -53,96 +45,82 @@ func (m *wireMetrics) countIn(n int) {
 	}
 }
 
-// outFrame is one frame queued for the write side. The payload buffer
-// is pooled; writeLoop recycles it after the write.
-type outFrame struct {
-	t       Type
-	corr    uint64
-	payload []byte
+// readBufSize sizes a connection's read buffer: one read syscall
+// usually pulls in a frame's header and payload, and every frame that
+// arrived with it.
+const readBufSize = 32 << 10
+
+// frameWriter is a connection's write side, a combining writer: the
+// goroutine with a frame to send appends it to the pending buffer
+// under mu and, if no write is in progress, makes the write syscall
+// itself outside the lock. Frames queued while that write runs go out
+// together in its next write, so frames batch exactly when senders
+// overlap and no frame waits on a timer. Frames are counted on the send
+// side only, so a frame crossing one hop increments
+// confbench_wire_frames_total exactly once per registry.
+type frameWriter struct {
+	conn net.Conn
+	m    *wireMetrics
+
+	mu      sync.Mutex
+	pending []byte // frames queued for the next write
+	spare   []byte // the previous write's buffer, reused for the next
+	n       int    // frames in pending
+	writing bool
+	err     error // first write error; the connection is closed
 }
 
-// writeLoop owns a connection's write side: it serializes frames from
-// ch, batching Nagle-style — block for the first frame, drain whatever
-// else is already queued (up to maxBatch), and only when that drain
-// proves concurrent traffic exists linger up to batchLinger for more —
-// then flushes the whole batch in one syscall. Frames are counted on
-// the send side only, so a frame crossing one hop increments
-// confbench_wire_frames_total exactly once per registry.
-func writeLoop(conn net.Conn, ch <-chan outFrame, dead <-chan struct{}, m *wireMetrics) {
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	var batch [maxBatch]outFrame
-	// One header scratch per connection: bw.Write keeps escape
-	// analysis from stack-allocating it, so hoist it out of the loop.
-	hdrBuf := make([]byte, 0, HeaderSize)
-	for {
-		var n int
-		select {
-		case batch[0] = <-ch:
-			n = 1
-		case <-dead:
-			return
+// send queues one frame and, unless another sender is already
+// writing, writes every queued frame before returning. The pooled
+// payload passes to send, which recycles it. A nil return means the
+// frame was written or handed to the sender whose write is in
+// progress; a write error closes the connection, so the read side
+// fails whoever waits on an unsent frame.
+func (w *frameWriter) send(t Type, corr uint64, payload []byte) error {
+	w.mu.Lock()
+	if w.err != nil {
+		err := w.err
+		w.mu.Unlock()
+		PutBuf(payload)
+		return err
+	}
+	w.pending = AppendFrame(w.pending, t, corr, payload)
+	w.n++
+	PutBuf(payload)
+	if w.m != nil {
+		w.m.frames[t].Inc()
+	}
+	if w.writing {
+		w.mu.Unlock()
+		return nil
+	}
+	w.writing = true
+	for w.n > 0 {
+		out, n := w.pending, w.n
+		w.pending, w.spare, w.n = w.spare[:0], nil, 0
+		w.mu.Unlock()
+		_, err := w.conn.Write(out)
+		if w.m != nil {
+			w.m.bytesOut.Add(uint64(len(out)))
+			w.m.batch.Observe(time.Duration(n) * time.Second)
 		}
-	drain:
-		for n < maxBatch {
-			select {
-			case batch[n] = <-ch:
-				n++
-			default:
-				break drain
-			}
+		w.mu.Lock()
+		if cap(out) <= poolBufCap { // as PutBuf, leave an oversized buffer to the GC
+			w.spare = out[:0]
 		}
-		if n > 1 && n < maxBatch {
-			timer := time.NewTimer(batchLinger)
-		linger:
-			for n < maxBatch {
-				select {
-				case batch[n] = <-ch:
-					n++
-				case <-timer.C:
-					break linger
-				case <-dead:
-					timer.Stop()
-					for i := 0; i < n; i++ {
-						PutBuf(batch[i].payload)
-					}
-					return
-				}
-			}
-			timer.Stop()
-		}
-		wrote := 0
-		failed := false
-		for i := 0; i < n; i++ {
-			f := batch[i]
-			if !failed {
-				hdr := AppendHeader(hdrBuf[:0], f.t, f.corr, len(f.payload))
-				_, err1 := bw.Write(hdr)
-				_, err2 := bw.Write(f.payload)
-				if err1 != nil || err2 != nil {
-					failed = true
-				} else {
-					wrote += HeaderSize + len(f.payload)
-					if m != nil {
-						m.frames[f.t].Inc()
-					}
-				}
-			}
-			PutBuf(f.payload)
-		}
-		if !failed {
-			failed = bw.Flush() != nil
-		}
-		if m != nil {
-			m.bytesOut.Add(uint64(wrote))
-			m.batch.Observe(time.Duration(n) * time.Second)
-		}
-		if failed {
-			// Poison the connection; the read side unblocks, notices,
-			// and runs the kill path (closing dead, failing pending).
-			conn.Close()
-			return
+		if err != nil {
+			w.err = err
+			w.pending, w.n = nil, 0
+			break
 		}
 	}
+	w.writing = false
+	err := w.err
+	w.mu.Unlock()
+	if err != nil {
+		w.conn.Close()
+	}
+	return err
 }
 
 // Handler processes one decoded request frame and returns the
@@ -218,7 +196,7 @@ func (s *Sniffer) acceptLoop() {
 // sniff peeks the first two bytes under a deadline so a connected but
 // silent peer cannot pin the goroutine forever.
 func (s *Sniffer) sniff(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 32<<10)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	peek, err := br.Peek(2)
 	_ = conn.SetReadDeadline(time.Time{})
@@ -294,25 +272,50 @@ func (s *Sniffer) Close() error {
 func (s *Sniffer) Addr() net.Addr { return s.ln.Addr() }
 
 // serveWire runs the binary serving loop on one connection: read a
-// frame, evaluate the wire.frame fault point, hand the payload to the
-// handler in its own goroutine (responses complete out of order and
-// rejoin through the shared write loop keyed by correlation ID).
+// frame, evaluate the wire.frame fault point, and hand the payload to
+// an idle handler worker of this connection, starting a new worker
+// only when every worker is busy. Responses complete out of order
+// through the connection's combining writer, keyed by correlation ID.
+// When the read loop ends, the connection is closed, in-flight
+// handlers see their context canceled, and every worker has exited
+// before serveWire returns.
 func (s *Sniffer) serveWire(conn net.Conn) {
-	ch := make(chan outFrame, maxBatch)
-	dead := make(chan struct{})
-	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			close(dead)
-			conn.Close()
-		})
-	}
-	defer kill()
-	go writeLoop(conn, ch, dead, s.m)
+	w := &frameWriter{conn: conn, m: s.m}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// Unbuffered: a send completes only by handing the frame to a
+	// worker that is free.
+	jobs := make(chan inFrame)
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	// busy counts frames handed to a handler that has not returned.
+	// workers never falls below it, so a dispatch always finds a worker
+	// that is idle or only finishing its send.
+	var busy atomic.Int32
+	workers := int32(0)
+	defer func() {
+		close(jobs)
+		cancel()
+		conn.Close()
+		wg.Wait()
+	}()
+
+	worker := func(f inFrame) {
+		defer wg.Done()
+		for ok := true; ok; f, ok = <-jobs {
+			rt, rp, herr := s.cfg.Handler(ctx, f.h.Type, f.payload)
+			busy.Add(-1)
+			PutBuf(f.payload)
+			if herr != nil {
+				if errors.Is(herr, ErrSever) {
+					PutBuf(rp)
+					conn.Close()
+					continue
+				}
+				rt, rp = TError, AppendError(GetBuf(0), herr)
+			}
+			_ = w.send(rt, f.h.Corr, rp) // a failed write closed conn, ending the read loop
+		}
+	}
+
 	for {
 		h, payload, err := ReadFrame(conn)
 		if err != nil {
@@ -324,38 +327,22 @@ func (s *Sniffer) serveWire(conn net.Conn) {
 			case faultplane.KindLatency, faultplane.KindSlowIO:
 				time.Sleep(d.Latency)
 			case faultplane.KindError:
-				errPayload := AppendError(GetBuf(0), d.Err)
 				PutBuf(payload)
-				select {
-				case ch <- outFrame{t: TError, corr: h.Corr, payload: errPayload}:
-				case <-dead:
-					PutBuf(errPayload)
-				}
+				_ = w.send(TError, h.Corr, AppendError(GetBuf(0), d.Err))
 				continue
 			default: // drop, crash: sever with no response
 				PutBuf(payload)
 				return
 			}
 		}
-		wg.Add(1)
-		go func(h Header, payload []byte) {
-			defer wg.Done()
-			rt, rp, herr := s.cfg.Handler(ctx, h.Type, payload)
-			PutBuf(payload)
-			if herr != nil {
-				if errors.Is(herr, ErrSever) {
-					PutBuf(rp)
-					kill()
-					return
-				}
-				rt, rp = TError, AppendError(GetBuf(0), herr)
-			}
-			select {
-			case ch <- outFrame{t: rt, corr: h.Corr, payload: rp}:
-			case <-dead:
-				PutBuf(rp)
-			}
-		}(h, payload)
+		f := inFrame{h: h, payload: payload}
+		if busy.Add(1) > workers {
+			workers++
+			wg.Add(1)
+			go worker(f)
+		} else {
+			jobs <- f
+		}
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -305,4 +307,183 @@ func (c *atomicCounter) get() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
+}
+
+// TestServeWireCancelsHandlersOnDisconnect pins the serving loop's
+// shutdown order: when the peer goes away, a handler waiting on its
+// context must see the cancellation instead of pinning the connection
+// (and the serving goroutine) forever.
+func TestServeWireCancelsHandlersOnDisconnect(t *testing.T) {
+	started := make(chan struct{})
+	canceled := make(chan struct{})
+	addr := startSniffer(t, ServerConfig{
+		Handler: func(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
+			close(started)
+			<-ctx.Done()
+			close(canceled)
+			return 0, nil, ctx.Err()
+		},
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(AppendFrame(nil, THealthReq, 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never ran")
+	}
+	conn.Close()
+	select {
+	case <-canceled:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler context not canceled after the peer disconnected")
+	}
+}
+
+// TestBinaryCombinesConcurrentWrites drives eight concurrent callers
+// over one Binary connection: overlapping senders must share write
+// syscalls (some flush carries more than one frame), and every frame
+// is counted exactly once, by the side that sent it.
+func TestBinaryCombinesConcurrentWrites(t *testing.T) {
+	clientReg, serverReg := obs.New(), obs.New()
+	addr := startSniffer(t, ServerConfig{Obs: serverReg})
+	tr := NewBinary(clientReg)
+	defer tr.Close()
+
+	batched := func(reg *obs.Registry) bool {
+		h := reg.HistogramWith("confbench_wire_batch_size", nil)
+		return h.Sum() > time.Duration(h.Count())*time.Second // observes frames as seconds
+	}
+	const callers, callsPerRound = 8, 50
+	sent := 0
+	deadline := time.Now().Add(20 * time.Second)
+	for !batched(clientReg) && !batched(serverReg) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no flush carried more than one frame after %d calls", sent)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < callsPerRound; i++ {
+					var resp api.InvokeResponse
+					req := &api.GuestInvokeRequest{Function: faas.Function{Name: fmt.Sprintf("fn-%d-%d", c, i)}}
+					if err := tr.RoundTrip(context.Background(), addr, api.GuestV1Invoke, req, &resp); err != nil {
+						t.Errorf("caller %d call %d: %v", c, i, err)
+						return
+					}
+					if want := req.Function.Name + " ran"; resp.Output != want {
+						t.Errorf("caller %d call %d: cross-talk: %q != %q", c, i, resp.Output, want)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		sent += callers * callsPerRound
+	}
+
+	frames := func(reg *obs.Registry, ft Type) uint64 {
+		return reg.Counter("confbench_wire_frames_total", "type", ft.String()).Value()
+	}
+	for _, c := range []struct {
+		side string
+		reg  *obs.Registry
+		ft   Type
+		want int
+	}{
+		{"client", clientReg, TInvokeReq, sent},
+		{"client", clientReg, TInvokeResp, 0},
+		{"server", serverReg, TInvokeResp, sent},
+		{"server", serverReg, TInvokeReq, 0},
+	} {
+		if got := frames(c.reg, c.ft); got != uint64(c.want) {
+			t.Errorf("%s frames_total{type=%s} = %d, want %d", c.side, c.ft, got, c.want)
+		}
+	}
+}
+
+// handlerGoroutines counts the goroutines a wire serving loop started.
+func handlerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by confbench/internal/wire.(*Sniffer).serveWire")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestServeWireReusesHandlerGoroutines bounds the serving loop's
+// goroutines: every burst of K frames held in the handler together
+// runs on the same K handler goroutines, and all of them exit once the
+// peer closes the connection.
+func TestServeWireReusesHandlerGoroutines(t *testing.T) {
+	const k = 6
+	var mu sync.Mutex
+	arrived := 0
+	gate := make(chan struct{})
+	addr := startSniffer(t, ServerConfig{
+		Handler: func(ctx context.Context, ft Type, payload []byte) (Type, []byte, error) {
+			// Hold every handler until the whole burst is in.
+			mu.Lock()
+			g := gate
+			if arrived++; arrived == k {
+				close(gate)
+				arrived, gate = 0, make(chan struct{})
+			}
+			mu.Unlock()
+			<-g
+			return echoHandler(ctx, ft, payload)
+		},
+	})
+	// Connections of earlier tests drain asynchronously after their
+	// cleanup; start from a quiet process.
+	waitQuiet := func(what string, baseline int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for handlerGoroutines() > 0 || runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d handler goroutines, %d total (baseline %d)",
+					what, handlerGoroutines(), runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitQuiet("before the first burst", math.MaxInt)
+	baseline := runtime.NumGoroutine()
+	tr := NewBinary(nil)
+
+	for burst := 0; burst < 3; burst++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, k)
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- tr.RoundTrip(context.Background(), addr, api.PathV1Health, nil, nil)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("burst %d: %v", burst, err)
+			}
+		}
+		if got := handlerGoroutines(); got != k {
+			t.Fatalf("burst %d: %d handler goroutines, want the %d the burst needed", burst, got, k)
+		}
+	}
+
+	tr.Close()
+	waitQuiet("after close", baseline)
 }
