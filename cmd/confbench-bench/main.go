@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string) error {
 	async := fs.Bool("async", false, "front-tier bench: drive invocations through the async submit→poll path")
 	tenant := fs.String("tenant", "", "front-tier bench: stamp requests with this tenant identity")
 	ftInvokes := fs.Int("invokes", 60, "front-tier bench: invocations to drive")
-	transport := fs.String("transport", "", "pipeline hop carrier: httpjson (default) or binary (persistent multiplexed wire frames)")
+	transport := fs.String("transport", "", "pipeline hop carrier: binary (default, persistent multiplexed wire frames) or httpjson (JSON over HTTP on every hop)")
 	durableDir := fs.String("durable-dir", "", "root of the durable persistence plane: gateway telemetry spills here, and -fig storage keeps its speedtest logs here (empty = in-memory telemetry, throwaway storage logs)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address while the bench runs (empty = disabled)")
 	if err := fs.Parse(args); err != nil {

@@ -67,7 +67,7 @@ func run(args []string) error {
 	hostsPerTEE := fs.Int("hosts-per-tee", 0, "host agents per platform in the embedded test bed (0 = one; >= 2 makes drain HOST live-migrate instead of refusing the last host)")
 	warmPool := fs.Int("warm-pool", 0, "serve each embedded host's secure VM from a prewarmed guest pool with this high watermark (drain HOST live-migrates only pooled hosts; 0 = no pools, routing-only drain)")
 	durableDir := fs.String("durable-dir", "", "spill gateway telemetry (federation sweeps, flight-recorder events) to an append-only log under this directory and replay it on start, so /v1/obs/cluster?window= and /v1/obs/events span restarts (empty = in-memory only)")
-	transport := fs.String("transport", "", "outbound hop carrier: httpjson (default, JSON over HTTP) or binary (persistent multiplexed wire frames); inbound always accepts both")
+	transport := fs.String("transport", "", "outbound hop carrier: binary (default, persistent multiplexed wire frames) or httpjson (JSON over HTTP); inbound always accepts both")
 	sloSpec := fs.String("slo", "", `comma-separated SLO objectives evaluated every federation sweep, e.g. "avail:availability:success>=99.9%,lat:latency:p99<250ms:tee=tdx"; serves GET /v1/obs/slo and /v1/obs/alerts`)
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {

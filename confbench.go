@@ -171,12 +171,13 @@ func WithTenantQuota(tenant string, limits TenantLimits) Option {
 }
 
 // WithTransport selects the carrier for every hop of the invoke
-// pipeline — client→front door, tier→shard, gateway→guest. "httpjson"
-// (the default) is one JSON-over-HTTP exchange per call; "binary"
-// keeps a persistent multiplexed connection per peer pair carrying
-// length-prefixed frames with out-of-order completion by correlation
-// ID. Servers accept both carriers regardless, so mixed deployments
-// interoperate.
+// pipeline — client→front door, tier→shard, gateway→guest. "binary"
+// (the default) keeps a persistent multiplexed connection per peer
+// pair carrying length-prefixed frames with out-of-order completion
+// by correlation ID; "httpjson" is one JSON-over-HTTP exchange per
+// call on every hop. Servers accept both carriers regardless, so
+// mixed deployments interoperate. Clients built by NewClient talk
+// HTTP to the public door whatever this is set to.
 func WithTransport(name string) Option {
 	return func(c *ClusterConfig) { c.Transport = name }
 }

@@ -180,3 +180,59 @@ func TestCCARealmsCannotAttest(t *testing.T) {
 		t.Error("CCA attestation should fail: the FVP lacks hardware support (§IV-B)")
 	}
 }
+
+// wireFrames reads how many frames of one type the deployment's
+// registry counted on their sending side.
+func wireFrames(reg *confbench.ObsRegistry, frameType string) uint64 {
+	return reg.Counter("confbench_wire_frames_total", "type", frameType).Value()
+}
+
+// TestDefaultCarrierIsBinaryOnInternalHops guards against a silent
+// fallback to HTTP: with no WithTransport, an invoke sent over HTTP to
+// the front tier still crosses tier→shard (front_invoke_req frames)
+// and gateway→guest (invoke_resp frames) on the binary wire, and the
+// cluster's own client rides it too. An explicit httpjson deployment
+// sends no frame at all.
+func TestDefaultCarrierIsBinaryOnInternalHops(t *testing.T) {
+	for name, transport := range map[string]string{"default": "", "httpjson": "httpjson"} {
+		t.Run(name, func(t *testing.T) {
+			reg := confbench.NewObsRegistry()
+			opts := []confbench.Option{
+				confbench.WithTEEs(tee.KindSEV), confbench.WithShards(2), confbench.WithObsRegistry(reg),
+			}
+			if transport != "" {
+				opts = append(opts, confbench.WithTransport(transport))
+			}
+			c := newCluster(t, opts...)
+			edge, err := confbench.NewClient(c.GatewayURL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := edge.Upload(ctx, faas.Function{Name: "hop", Language: "go", Workload: "fib"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := edge.Invoke(ctx, api.InvokeRequest{Function: "hop", TEE: tee.KindSEV, Scale: 5}); err != nil {
+				t.Fatal(err)
+			}
+			shardHop, guestHop := wireFrames(reg, "front_invoke_req"), wireFrames(reg, "invoke_resp")
+			if transport == "" && (shardHop == 0 || guestHop == 0) {
+				t.Fatalf("default carrier: tier→shard frames %d, guest→gateway frames %d; want both > 0", shardHop, guestHop)
+			}
+			if transport == "httpjson" && shardHop+guestHop != 0 {
+				t.Fatalf("httpjson carrier sent frames: tier→shard %d, guest→gateway %d", shardHop, guestHop)
+			}
+
+			before := wireFrames(reg, "front_invoke_req")
+			if _, err := c.Client().Invoke(ctx, api.InvokeRequest{Function: "hop", TEE: tee.KindSEV, Scale: 5}); err != nil {
+				t.Fatal(err)
+			}
+			// The tier forwards the invoke too, so a binary client adds
+			// a second frame on top of the tier's one.
+			sent := wireFrames(reg, "front_invoke_req") - before
+			if want := map[string]uint64{"": 2, "httpjson": 0}[transport]; sent != want {
+				t.Fatalf("Cluster.Client invoke: %d front_invoke_req frames, want %d", sent, want)
+			}
+		})
+	}
+}

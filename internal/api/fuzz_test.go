@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +13,9 @@ import (
 // marshal/unmarshal round trip — JSON carries no NaN/Inf and the wire
 // structs hold only concrete types, so a drifting round trip means a
 // type regressed (e.g. an interface field or a lossy custom
-// marshaler snuck in).
+// marshaler snuck in). The one drift the JSON contract allows is an
+// empty slice or map under omitempty: it encodes as an absent field
+// and decodes back nil, so the comparison treats the two alike.
 func FuzzWireDecode(f *testing.F) {
 	f.Add(byte(0), []byte(`{"function":{"name":"f","language":"go","workload":"cpustress"}}`))
 	f.Add(byte(1), []byte(`{"function":"f","secure":true,"tee":"sev-snp","scale":3}`))
@@ -40,6 +43,7 @@ func FuzzWireDecode(f *testing.F) {
 			if err := json.Unmarshal(out, v2); err != nil {
 				t.Fatalf("own marshaling of %T rejected: %v", v, err)
 			}
+			nilOmittedEmpties(reflect.ValueOf(v))
 			if !reflect.DeepEqual(v, v2) {
 				t.Fatalf("round trip drifted for %T:\n  first:  %+v\n  second: %+v", v, v, v2)
 			}
@@ -65,4 +69,32 @@ func FuzzWireDecode(f *testing.F) {
 			decode(func() any { return new(ErrorResponse) })
 		}
 	})
+}
+
+// nilOmittedEmpties walks v and sets every empty slice or map held in
+// an omitempty field to nil, the value a decode of its encoding gives.
+func nilOmittedEmpties(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			nilOmittedEmpties(v.Elem())
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			nilOmittedEmpties(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f, sf := v.Field(i), v.Type().Field(i)
+			if !f.CanSet() {
+				continue
+			}
+			if (f.Kind() == reflect.Slice || f.Kind() == reflect.Map) && f.Len() == 0 &&
+				strings.Contains(sf.Tag.Get("json"), ",omitempty") {
+				f.Set(reflect.Zero(f.Type()))
+				continue
+			}
+			nilOmittedEmpties(f)
+		}
+	}
 }

@@ -92,10 +92,10 @@ type ClusterConfig struct {
 	TenantQuotas map[string]fronttier.TenantLimits
 	// Transport selects the carrier for every hop of the invoke
 	// pipeline — client→front door, tier→shard, gateway→guest: "" or
-	// "httpjson" is one JSON-over-HTTP exchange per call; "binary" is
-	// the persistent multiplexed wire protocol (persistent connection
-	// per peer pair, length-prefixed frames, out-of-order completion).
-	// Servers accept both carriers regardless.
+	// "binary" is the persistent multiplexed wire protocol (persistent
+	// connection per peer pair, length-prefixed frames, out-of-order
+	// completion); "httpjson" is one JSON-over-HTTP exchange per call
+	// on every hop. Servers accept both carriers regardless.
 	Transport string
 	// DurableDir, when set, roots the deployment's persistence plane:
 	// each gateway (or shard) spills its federation sweeps and flight-
@@ -142,8 +142,9 @@ type Cluster struct {
 	cache    *vm.SnapshotCache
 	gw       *gateway.Gateway
 	client   *api.Client
-	// clientTransport is the client's binary carrier when
-	// cfg.Transport selected it (owned here; closed with the cluster).
+	// clientTransport is the client's binary carrier unless
+	// cfg.Transport selected httpjson (owned here; closed with the
+	// cluster).
 	clientTransport api.Transport
 
 	// Sharded deployments (cfg.Shards > 1): the shard gateways in
@@ -201,15 +202,14 @@ func (c *Cluster) boot() error {
 				name = fmt.Sprintf("%s-%d", name, i+1)
 			}
 			agent, err := hostagent.NewAgent(hostagent.AgentConfig{
-				Name:      name,
-				Backend:   backend,
-				Guest:     tee.GuestConfig{Name: name, MemoryMB: c.cfg.GuestMemoryMB},
-				Catalog:   c.catalog,
-				Obs:       c.obsreg,
-				Faults:    c.cfg.Faults,
-				WarmPool:  c.cfg.WarmPool,
-				Cache:     c.cache,
-				Transport: c.cfg.Transport,
+				Name:     name,
+				Backend:  backend,
+				Guest:    tee.GuestConfig{Name: name, MemoryMB: c.cfg.GuestMemoryMB},
+				Catalog:  c.catalog,
+				Obs:      c.obsreg,
+				Faults:   c.cfg.Faults,
+				WarmPool: c.cfg.WarmPool,
+				Cache:    c.cache,
 			})
 			if err != nil {
 				return fmt.Errorf("confbench: boot %s host: %w", kind, err)
@@ -309,7 +309,7 @@ func (c *Cluster) boot() error {
 		}
 	}
 	var clientOpts []api.Option
-	if c.cfg.Transport == wire.TransportBinary {
+	if c.cfg.Transport != wire.TransportHTTPJSON {
 		c.clientTransport = wire.NewBinary(c.obsreg)
 		clientOpts = append(clientOpts, api.WithTransport(c.clientTransport))
 	}

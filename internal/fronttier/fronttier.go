@@ -79,9 +79,9 @@ type Config struct {
 	// Now injects the tier's clock for admission buckets, result TTLs,
 	// and breaker timing (nil = wall clock).
 	Now func() time.Time
-	// Transport selects the tier→shard hop carrier ("" or "httpjson" =
-	// JSON over HTTP; "binary" = the persistent multiplexed wire
-	// protocol). The tier's own front door always accepts both.
+	// Transport selects the tier→shard hop carrier ("" or "binary" =
+	// the persistent multiplexed wire protocol; "httpjson" = JSON over
+	// HTTP). The tier's own front door always accepts both.
 	Transport string
 	// SLO declares the service-level objectives the tier evaluates on
 	// each shard-federation sweep (nil = no SLO plane).
@@ -148,8 +148,8 @@ type Tier struct {
 	invocations  atomic.Uint64
 	attestations atomic.Uint64
 
-	// transport is the shared shard-hop carrier when Config.Transport
-	// selected binary (nil = each client's default HTTP).
+	// transport is the shared shard-hop carrier unless Config.Transport
+	// selected httpjson (nil = each client's default HTTP).
 	transport api.Transport
 }
 
@@ -202,7 +202,7 @@ func New(cfg Config) (*Tier, error) {
 			Obs:        reg,
 		})
 	}
-	if cfg.Transport == wire.TransportBinary {
+	if cfg.Transport != wire.TransportHTTPJSON {
 		// One multiplexed-connection transport shared by every shard
 		// client, so per-shard conns pool under one registry.
 		t.transport = wire.NewBinary(reg)

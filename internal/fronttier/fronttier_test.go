@@ -15,6 +15,7 @@ import (
 	"confbench/internal/api"
 	"confbench/internal/cberr"
 	"confbench/internal/obs"
+	"confbench/internal/wire"
 )
 
 // fakeShard is a minimal gateway stand-in: it serves the invoke,
@@ -74,6 +75,8 @@ func bootTier(t *testing.T, cfg Config, shards ...*fakeShard) (*Tier, *api.Clien
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
 	}
+	// The fake shards speak HTTP only.
+	cfg.Transport = wire.TransportHTTPJSON
 	tier, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

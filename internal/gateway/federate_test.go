@@ -14,11 +14,13 @@ import (
 	"confbench/internal/api"
 	"confbench/internal/faultplane"
 	"confbench/internal/obs"
+	"confbench/internal/wire"
 )
 
 // fakeHost serves a registry's snapshot at the guest obs path, the
 // same endpoint a real host agent's relay exposes. Returns the
-// server and its scrape address (host:port).
+// server and its scrape address (host:port). It speaks HTTP only, so
+// gateways scraping it pin the httpjson carrier.
 func fakeHost(t *testing.T, reg *obs.Registry) (*httptest.Server, string) {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -39,7 +41,7 @@ func TestScrapeOnceMergesMultipleHosts(t *testing.T) {
 	_, addrA := fakeHost(t, regA)
 	_, addrB := fakeHost(t, regB)
 
-	gw := New(Config{Obs: obs.New()})
+	gw := New(Config{Obs: obs.New(), Transport: wire.TransportHTTPJSON})
 	gw.addScrapeTarget("host-b", "sev-snp", addrB) // registered out of order
 	gw.addScrapeTarget("host-a", "tdx", addrA)
 
@@ -64,7 +66,7 @@ func TestScrapeOnceMergesMultipleHosts(t *testing.T) {
 func TestScrapeFailureCountedNeverFatal(t *testing.T) {
 	reg := obs.New()
 	_, addr := fakeHost(t, obs.New())
-	gw := New(Config{Obs: reg, ScrapeTimeout: 200 * time.Millisecond})
+	gw := New(Config{Obs: reg, ScrapeTimeout: 200 * time.Millisecond, Transport: wire.TransportHTTPJSON})
 	gw.addScrapeTarget("alive", "tdx", addr)
 	gw.addScrapeTarget("dead", "cca", "127.0.0.1:1") // nothing listens here
 
@@ -101,7 +103,7 @@ func TestScrapeFaultInjection(t *testing.T) {
 	reg := obs.New()
 	plane.SetObsRegistry(reg)
 	_, addr := fakeHost(t, obs.New())
-	gw := New(Config{Obs: reg, Faults: plane})
+	gw := New(Config{Obs: reg, Faults: plane, Transport: wire.TransportHTTPJSON})
 	gw.addScrapeTarget("victim", "tdx", addr)
 
 	cs := gw.ScrapeOnce(context.Background(), time.Unix(100, 0))
@@ -140,7 +142,7 @@ func TestWindowedRatePinnedBySyntheticInstants(t *testing.T) {
 func TestScrapeWhileWorkersWrite(t *testing.T) {
 	live := obs.New()
 	_, addr := fakeHost(t, live)
-	gw := New(Config{Obs: obs.New()})
+	gw := New(Config{Obs: obs.New(), Transport: wire.TransportHTTPJSON})
 	gw.addScrapeTarget("busy", "tdx", addr)
 
 	stop := make(chan struct{})

@@ -144,9 +144,9 @@ type Config struct {
 	// invoke exhausts its retry budget (nil = os.Stderr).
 	Postmortem io.Writer
 	// Transport selects the carrier for the gateway's outbound hops —
-	// guest-agent forwards and federation scrapes ("" or "httpjson" =
-	// one JSON-over-HTTP exchange per call; "binary" = the persistent
-	// multiplexed wire protocol). The inbound front door always
+	// guest-agent forwards and federation scrapes ("" or "binary" =
+	// the persistent multiplexed wire protocol; "httpjson" = one
+	// JSON-over-HTTP exchange per call). The inbound front door always
 	// accepts both.
 	Transport string
 	// DurableDir, when set, persists the telemetry plane there: every
@@ -183,9 +183,9 @@ func New(cfg Config) *Gateway {
 	transport, err := wire.NewTransport(cfg.Transport, reg)
 	if err != nil {
 		// Entry points validate the name before it gets here; an
-		// unknown transport degrades to the legacy carrier rather than
+		// unknown transport degrades to the default carrier rather than
 		// refusing to build.
-		transport = wire.NewHTTPJSON()
+		transport = wire.NewBinary(reg)
 	}
 	g := &Gateway{
 		db:               faas.NewDB(languages),

@@ -18,6 +18,7 @@ import (
 	"confbench/internal/tee"
 	"confbench/internal/tee/sev"
 	"confbench/internal/tee/tdx"
+	"confbench/internal/wire"
 )
 
 // testDeployment boots a gateway over TDX and SEV host agents.
@@ -331,27 +332,32 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestInvokeDeadEndpointSurfacesBadGateway(t *testing.T) {
 	// A pool whose endpoint points at a dead address must fail with a
 	// gateway error, not hang or panic — the paper's hosts can go away.
-	g := New(Config{})
-	g.AddHost("ghost-host", []hostagent.Endpoint{{
-		Addr: "127.0.0.1:1", Secure: true, TEE: tee.KindTDX, VMName: "ghost",
-	}})
-	url, err := g.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	client := mustClient(t, url)
-	uploadFn(t, client, "fn", "go", "factors")
-	_, err = client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX})
-	if err == nil || !strings.Contains(err.Error(), "502") {
-		t.Errorf("dead endpoint error = %v", err)
-	}
-	m, err := client.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Errors == 0 || m.Invocations != 0 {
-		t.Errorf("metrics after failure = %+v", m)
+	// Both carriers classify the refused dial alike: upstream, 502.
+	for _, transport := range []string{wire.TransportHTTPJSON, wire.TransportBinary} {
+		t.Run(transport, func(t *testing.T) {
+			g := New(Config{Transport: transport})
+			g.AddHost("ghost-host", []hostagent.Endpoint{{
+				Addr: "127.0.0.1:1", Secure: true, TEE: tee.KindTDX, VMName: "ghost",
+			}})
+			url, err := g.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			client := mustClient(t, url)
+			uploadFn(t, client, "fn", "go", "factors")
+			_, err = client.Invoke(context.Background(), api.InvokeRequest{Function: "fn", Secure: true, TEE: tee.KindTDX})
+			if err == nil || !strings.Contains(err.Error(), "502") || cberr.CodeOf(err) != cberr.CodeUpstream {
+				t.Errorf("dead endpoint error = %v", err)
+			}
+			m, err := client.Metrics(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Errors == 0 || m.Invocations != 0 {
+				t.Errorf("metrics after failure = %+v", m)
+			}
+		})
 	}
 }
 
@@ -470,7 +476,8 @@ func TestCanceledUpstreamSurvivesWireHops(t *testing.T) {
 	}))
 	defer upstream.Close()
 
-	g := New(Config{})
+	// The fake guest speaks HTTP only.
+	g := New(Config{Transport: wire.TransportHTTPJSON})
 	g.AddHost("canceling-host", []hostagent.Endpoint{{
 		Addr: strings.TrimPrefix(upstream.URL, "http://"), Secure: true, TEE: tee.KindTDX, VMName: "c",
 	}})

@@ -52,12 +52,6 @@ type GuestServerConfig struct {
 	Faults *faultplane.Plane
 	// Host labels the agent's host for fault-spec matching.
 	Host string
-	// Transport selects the carriers the agent accepts. The default
-	// (and "binary") serves both: a protocol sniffer peeks each
-	// connection's first bytes and routes wire frames to the binary
-	// serving loop, everything else to the HTTP mux. "httpjson"
-	// disables the sniffer and serves plain HTTP only.
-	Transport string
 }
 
 // NewGuestServer starts the guest agent on a localhost ephemeral port,
@@ -91,17 +85,17 @@ func NewGuestServer(cfg GuestServerConfig) (*GuestServer, error) {
 	}
 	g.listener = ln
 	g.addr = ln.Addr().String()
-	var serveLn net.Listener = ln
-	if cfg.Transport != wire.TransportHTTPJSON {
-		serveLn = wire.NewSniffer(ln, wire.ServerConfig{
-			Handler: g.handleWire,
-			Faults:  cfg.Faults,
-			Target: faultplane.Target{
-				TEE: string(machine.Platform()), Host: cfg.Host, VM: machine.Name(),
-			},
-			Obs: r,
-		})
-	}
+	// Both carriers share the port: the sniffer peeks each
+	// connection's first bytes and routes wire frames to the binary
+	// serving loop, everything else to the HTTP mux.
+	serveLn := wire.NewSniffer(ln, wire.ServerConfig{
+		Handler: g.handleWire,
+		Faults:  cfg.Faults,
+		Target: faultplane.Target{
+			TEE: string(machine.Platform()), Host: cfg.Host, VM: machine.Name(),
+		},
+		Obs: r,
+	})
 	g.server = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		_ = g.server.Serve(serveLn) // returns ErrServerClosed on shutdown

@@ -24,16 +24,35 @@ import (
 // client retry loop) rather than being duplicated here.
 type Binary struct {
 	m *wireMetrics
+	// dial opens a connection to a peer; tests swap it to stall one.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 
 	mu     sync.Mutex
 	conns  map[string]*mconn
+	dials  map[string]*dialCall
 	closed bool
+}
+
+// dialCall is one dial in flight to an address. Callers that find it
+// wait on done instead of dialing the same peer again.
+type dialCall struct {
+	done chan struct{}
+	mc   *mconn
+	err  error
 }
 
 // NewBinary builds the binary transport. reg may be nil to run
 // without wire metrics.
 func NewBinary(reg *obs.Registry) *Binary {
-	return &Binary{m: newWireMetrics(reg), conns: make(map[string]*mconn)}
+	var d net.Dialer
+	return &Binary{
+		m: newWireMetrics(reg),
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		conns: make(map[string]*mconn),
+		dials: make(map[string]*dialCall),
+	}
 }
 
 // Name implements Transport.
@@ -58,7 +77,7 @@ func (t *Binary) RoundTrip(ctx context.Context, addr, path string, in, out any) 
 	if err != nil {
 		return err
 	}
-	mc, err := t.conn(addr)
+	mc, err := t.conn(ctx, addr)
 	if err != nil {
 		PutBuf(payload)
 		return err
@@ -71,32 +90,77 @@ func (t *Binary) RoundTrip(ctx context.Context, addr, path string, in, out any) 
 	return decodeWireResponse(addr, rt, rp, out)
 }
 
-// conn returns the live connection to addr, dialing or replacing a
-// dead one under the transport lock (peers are local, dials are
-// cheap; a slow peer only stalls calls to other peers during its own
-// dial, which the pipeline never does mid-benchmark).
-func (t *Binary) conn(addr string) (*mconn, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, cberr.New(cberr.CodeUnavailable, cberr.LayerGateway, "wire: transport closed")
-	}
-	if mc, ok := t.conns[addr]; ok {
-		select {
-		case <-mc.dead:
-			// fall through and redial
-		default:
+// conn returns the live connection to addr, dialing a new one when
+// there is none or it died. The dial runs outside the transport lock
+// under the caller's ctx, so a peer that stalls its dial holds up
+// only its own callers. At most one dial per address is in flight:
+// later callers wait for it, and redial themselves only if it failed
+// because its dialer gave up while they still want the peer.
+func (t *Binary) conn(ctx context.Context, addr string) (*mconn, error) {
+	for {
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
+			return nil, errTransportClosed()
+		}
+		if mc, ok := t.conns[addr]; ok && mc.alive() {
+			t.mu.Unlock()
 			return mc, nil
 		}
+		if d, ok := t.dials[addr]; ok {
+			t.mu.Unlock()
+			select {
+			case <-d.done:
+			case <-ctx.Done():
+				return nil, dialCtxErr(addr, ctx.Err())
+			}
+			if d.err == nil {
+				return d.mc, nil
+			}
+			if !errors.Is(d.err, context.Canceled) && !errors.Is(d.err, context.DeadlineExceeded) {
+				return nil, d.err
+			}
+			continue // the dialer's ctx ended, not ours: dial again
+		}
+		d := &dialCall{done: make(chan struct{})}
+		t.dials[addr] = d
+		t.mu.Unlock()
+		d.mc, d.err = t.dialConn(ctx, addr)
+		close(d.done)
+		return d.mc, d.err
 	}
-	c, err := net.Dial("tcp", addr)
+}
+
+// dialConn dials addr and registers the connection. A refused or
+// failed dial is an upstream failure (502), exactly what the httpjson
+// carrier reports for a peer it cannot reach.
+func (t *Binary) dialConn(ctx context.Context, addr string) (*mconn, error) {
+	c, err := t.dial(ctx, addr)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.dials, addr)
 	if err != nil {
-		return nil, cberr.Wrap(cberr.CodeUnavailable, cberr.LayerGateway,
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, dialCtxErr(addr, cerr)
+		}
+		return nil, cberr.Wrap(cberr.CodeUpstream, cberr.LayerGateway,
 			fmt.Errorf("wire: dial %s: %w", addr, err))
+	}
+	if t.closed {
+		c.Close()
+		return nil, errTransportClosed()
 	}
 	mc := newMconn(addr, c, t.m)
 	t.conns[addr] = mc
 	return mc, nil
+}
+
+func errTransportClosed() error {
+	return cberr.New(cberr.CodeUnavailable, cberr.LayerGateway, "wire: transport closed")
+}
+
+func dialCtxErr(addr string, err error) error {
+	return cberr.From(fmt.Errorf("wire: dial %s: %w", addr, err), cberr.LayerGateway)
 }
 
 // inFrame is one received frame: a matched response handed from the
@@ -172,6 +236,16 @@ func (mc *mconn) kill(err error) {
 	mc.mu.Unlock()
 	close(mc.dead)
 	mc.conn.Close()
+}
+
+// alive reports whether the connection can still carry calls.
+func (mc *mconn) alive() bool {
+	select {
+	case <-mc.dead:
+		return false
+	default:
+		return true
+	}
 }
 
 func (mc *mconn) connErr() error {

@@ -1,9 +1,9 @@
 // Package wire implements the confbench relay protocol: a
 // length-prefixed binary framing carried over persistent multiplexed
 // connections, the codecs for the api request/response types, and the
-// two Transport implementations ("httpjson" extracting the legacy
-// JSON-over-HTTP hop, "binary" speaking this protocol) selectable at
-// every hop of the pipeline.
+// two Transport implementations selectable at every hop of the
+// pipeline: "binary" speaking this protocol (the default) and
+// "httpjson", the JSON-over-HTTP hop kept as the all-HTTP mode.
 //
 // Frame layout (all integers big-endian):
 //

@@ -13,7 +13,7 @@ import (
 	"confbench/internal/cberr"
 )
 
-// HTTPJSON is the legacy hop carrier: one JSON-over-HTTP exchange per
+// HTTPJSON is the all-HTTP hop carrier: one JSON-over-HTTP exchange per
 // call, relying on net/http keep-alive for connection reuse. The body
 // of RoundTrip is the gateway's historical forward() extracted
 // verbatim — same error classification, same envelope handling — so

@@ -19,7 +19,8 @@ const (
 )
 
 // ValidTransport reports whether name selects a known transport. The
-// empty string is valid and means the default (httpjson).
+// empty string is valid and means the default (binary); "httpjson" is
+// the explicit all-HTTP mode.
 func ValidTransport(name string) bool {
 	switch name {
 	case "", TransportHTTPJSON, TransportBinary:
@@ -32,9 +33,9 @@ func ValidTransport(name string) bool {
 // transport then runs without wire metrics.
 func NewTransport(name string, reg *obs.Registry) (Transport, error) {
 	switch name {
-	case "", TransportHTTPJSON:
+	case TransportHTTPJSON:
 		return NewHTTPJSON(), nil
-	case TransportBinary:
+	case "", TransportBinary:
 		return NewBinary(reg), nil
 	}
 	return nil, fmt.Errorf("wire: unknown transport %q (want %s or %s)", name, TransportHTTPJSON, TransportBinary)

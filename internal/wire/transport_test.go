@@ -35,7 +35,7 @@ func TestValidTransportAndNewTransport(t *testing.T) {
 		defer tr.Close()
 		want := name
 		if want == "" {
-			want = TransportHTTPJSON
+			want = TransportBinary
 		}
 		if tr.Name() != want {
 			t.Fatalf("NewTransport(%q).Name() = %q", name, tr.Name())
@@ -486,4 +486,92 @@ func TestServeWireReusesHandlerGoroutines(t *testing.T) {
 
 	tr.Close()
 	waitQuiet("after close", baseline)
+}
+
+// TestBinaryStalledDialBlocksOnlyItsPeer stalls every dial to one
+// address: a call to another peer still completes, the stalled
+// caller's cancellation returns at once, a second caller of the
+// stalled peer waits for the dial in flight instead of starting its
+// own, and redials once the first dialer gave up.
+func TestBinaryStalledDialBlocksOnlyItsPeer(t *testing.T) {
+	const stalled = "stalled.test:1"
+	good := startSniffer(t, ServerConfig{})
+	tr := NewBinary(nil)
+	defer tr.Close()
+	realDial := tr.dial
+	var dials sync.Mutex
+	stalledDials := 0
+	entered := make(chan struct{}, 4)
+	tr.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		if addr != stalled {
+			return realDial(ctx, addr)
+		}
+		dials.Lock()
+		stalledDials++
+		dials.Unlock()
+		entered <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	stalledCount := func() int {
+		dials.Lock()
+		defer dials.Unlock()
+		return stalledDials
+	}
+	call := func(ctx context.Context, addr string) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- tr.RoundTrip(ctx, addr, api.PathV1Health, nil, nil) }()
+		return done
+	}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := call(ctxA, stalled)
+	<-entered
+	ctxA2, cancelA2 := context.WithCancel(context.Background())
+	defer cancelA2()
+	errA2 := call(ctxA2, stalled)
+
+	ctxB, cancelB := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelB()
+	select {
+	case err := <-call(ctxB, good):
+		if err != nil {
+			t.Fatalf("call to a live peer behind a stalled dial: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("call to a live peer blocked behind a stalled dial")
+	}
+	if n := stalledCount(); n != 1 {
+		t.Fatalf("%d dials in flight to one address, want 1", n)
+	}
+
+	cancelA()
+	select {
+	case err := <-errA:
+		if !errors.Is(err, cberr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled dialer's error = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled caller still waiting on its stalled dial")
+	}
+
+	// The waiter's own ctx is live: it takes over the dial.
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter did not redial after the dialer gave up")
+	}
+	cancelA2()
+	select {
+	case err := <-errA2:
+		if !errors.Is(err, cberr.ErrCanceled) {
+			t.Fatalf("canceled waiter's error = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled waiter still blocked")
+	}
+	if n := stalledCount(); n != 2 {
+		t.Fatalf("stalled dials = %d, want 2", n)
+	}
 }
